@@ -497,13 +497,8 @@ impl EngineCore {
     }
 
     /// Opens (or extends) the coalescing window of a row after issuing an
-    /// array write for it.
-    fn open_merge_window(&mut self, is_cache: bool, row_key: u64, class: ServiceClass) {
-        let t = &self.config.mem.timing;
-        let service = match class {
-            ServiceClass::ResetOnlyWrite => t.reset_cycles(),
-            _ => t.write_cycles(),
-        };
+    /// array write for it; the window lasts the write's service time.
+    fn open_merge_window(&mut self, is_cache: bool, row_key: u64, service: Cycle) {
         let until = self.now() + service;
         self.merge_windows.insert((is_cache, row_key), until);
     }
@@ -737,6 +732,15 @@ pub struct Engine<P> {
     policy: P,
     /// Cached `policy.wants_ticks()`: checked on every time advance.
     ticks: bool,
+    /// Cycles between staggered per-rank ticks (see [`Self::advance`]).
+    tick_stagger: Cycle,
+    /// Coalescing-window lengths: the RESET-only and full write service
+    /// times. Like the stagger, converted from nanoseconds once here.
+    reset_window: Cycle,
+    write_window: Cycle,
+    /// Completion scratch reused by every advance, so the steady-state
+    /// loop allocates nothing.
+    completions: Vec<Completion>,
 }
 
 impl Engine<Box<dyn ArchPolicy>> {
@@ -762,7 +766,13 @@ impl<P: ArchPolicy> Engine<P> {
     pub fn with_policy(config: SystemConfig, policy: P) -> Result<Self, WomPcmError> {
         let core = EngineCore::new(config)?;
         let ticks = policy.wants_ticks();
+        let t = &core.config.mem.timing;
+        let ranks = Cycle::from(core.config.mem.geometry.ranks);
         Ok(Self {
+            tick_stagger: (t.refresh_period_cycles() / ranks).max(1),
+            reset_window: t.reset_cycles(),
+            write_window: t.write_cycles(),
+            completions: Vec::new(),
             core,
             policy,
             ticks,
@@ -951,13 +961,11 @@ impl<P: ArchPolicy> Engine<P> {
     /// rank is considered once per period.
     fn advance(&mut self, cycle: Cycle) -> Result<(), WomPcmError> {
         if self.ticks {
-            let period = self.core.config.mem.timing.refresh_period_cycles();
-            let stagger = (period / Cycle::from(self.core.config.mem.geometry.ranks)).max(1);
             while self.core.next_refresh_at <= cycle {
                 let at = self.core.next_refresh_at;
                 self.advance_all_to(at)?;
                 self.policy.on_tick(&mut self.core)?;
-                self.core.next_refresh_at += stagger;
+                self.core.next_refresh_at += self.tick_stagger;
             }
         }
         self.advance_all_to(cycle)
@@ -965,19 +973,24 @@ impl<P: ArchPolicy> Engine<P> {
 
     /// Advances both memory systems in lockstep, handling completions.
     fn advance_all_to(&mut self, cycle: Cycle) -> Result<(), WomPcmError> {
+        // The scratch is moved out while the handlers borrow `self`, then
+        // put back with its capacity.
+        let mut done = std::mem::take(&mut self.completions);
         if cycle > self.core.main.now() {
-            for c in self.core.main.advance_to(cycle)? {
+            self.core.main.advance_into(cycle, &mut done)?;
+            for c in done.drain(..) {
                 self.handle_main_completion(&c)?;
             }
         }
         if let Some(cm) = &mut self.core.cache_mem {
             if cycle > cm.now() {
-                let completions = cm.advance_to(cycle)?;
-                for c in completions {
+                cm.advance_into(cycle, &mut done)?;
+                for c in done.drain(..) {
                     self.handle_cache_completion(&c)?;
                 }
             }
         }
+        self.completions = done;
         self.core.flush_victims();
         Ok(())
     }
@@ -1046,7 +1059,8 @@ impl<P: ArchPolicy> Engine<P> {
                 companion,
             } => {
                 self.enqueue_main(MemOp::Write, addr, class)?;
-                self.core.open_merge_window(false, row_key, class);
+                let window = self.merge_window(class);
+                self.core.open_merge_window(false, row_key, window);
                 self.account_leveling_write(addr)?;
                 if let Some(companion) = companion {
                     self.enqueue_main_internal(MemOp::Write, companion, class)?;
@@ -1061,9 +1075,18 @@ impl<P: ArchPolicy> Engine<P> {
             } => {
                 let cache_addr = self.core.cache_addr(rank, row)?;
                 self.enqueue_cache(MemOp::Write, cache_addr, class)?;
-                self.core.open_merge_window(true, merge_key, class);
+                let window = self.merge_window(class);
+                self.core.open_merge_window(true, merge_key, window);
                 Ok(())
             }
+        }
+    }
+
+    /// The coalescing window a write of `class` opens: its service time.
+    fn merge_window(&self, class: ServiceClass) -> Cycle {
+        match class {
+            ServiceClass::ResetOnlyWrite => self.reset_window,
+            _ => self.write_window,
         }
     }
 

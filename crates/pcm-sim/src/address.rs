@@ -60,9 +60,10 @@ impl MemoryGeometry {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] when any dimension is zero, when
-    /// `access_bytes` does not divide `row_bytes`, or when either size is
-    /// not a power of two (required for bit-sliced address decoding).
+    /// Returns [`SimError::InvalidConfig`] when any dimension is zero or
+    /// not a power of two (required for bit-sliced address decoding), when
+    /// `access_bytes` exceeds `row_bytes`, or when the capacity does not
+    /// fit in a 64-bit byte address.
     pub fn validate(&self) -> Result<(), SimError> {
         for (name, v) in [
             ("ranks", self.ranks),
@@ -83,6 +84,15 @@ impl MemoryGeometry {
         if self.access_bytes > self.row_bytes {
             return Err(SimError::InvalidConfig(
                 "access_bytes must not exceed row_bytes".into(),
+            ));
+        }
+        let address_bits = self.ranks.trailing_zeros()
+            + self.banks_per_rank.trailing_zeros()
+            + self.rows_per_bank.trailing_zeros()
+            + self.row_bytes.trailing_zeros();
+        if address_bits >= u64::BITS {
+            return Err(SimError::InvalidConfig(
+                "capacity must fit in 64-bit byte addresses".into(),
             ));
         }
         Ok(())
@@ -169,11 +179,26 @@ impl DecodedAddr {
     }
 }
 
+/// One address field's position: `(addr >> shift) & mask`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BitField {
+    shift: u32,
+    mask: u32,
+}
+
 /// Decodes byte addresses into [`DecodedAddr`]s for a geometry + mapping.
+///
+/// Every dimension is a power of two, so each field is a fixed bit slice
+/// of the byte address; `new` precomputes a shift and mask per field and
+/// `decode` is four mask-and-shift steps with no division.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressDecoder {
     geometry: MemoryGeometry,
     mapping: AddressMapping,
+    rank: BitField,
+    bank: BitField,
+    row: BitField,
+    column: BitField,
 }
 
 impl AddressDecoder {
@@ -184,7 +209,49 @@ impl AddressDecoder {
     /// Returns [`SimError::InvalidConfig`] if the geometry is invalid.
     pub fn new(geometry: MemoryGeometry, mapping: AddressMapping) -> Result<Self, SimError> {
         geometry.validate()?;
-        Ok(Self { geometry, mapping })
+        let g = &geometry;
+        // Lay the fields out low-order first, above the intra-line offset.
+        let mut shift = g.access_bytes.trailing_zeros();
+        let mut place = |n: u32| {
+            let field = BitField { shift, mask: n - 1 };
+            shift += n.trailing_zeros();
+            field
+        };
+        let (column, rank, bank, row);
+        match mapping {
+            AddressMapping::RowRankBankCol => {
+                column = place(g.columns_per_row());
+                bank = place(g.banks_per_rank);
+                rank = place(g.ranks);
+                row = place(g.rows_per_bank);
+            }
+            AddressMapping::RowColRankBank => {
+                bank = place(g.banks_per_rank);
+                rank = place(g.ranks);
+                column = place(g.columns_per_row());
+                row = place(g.rows_per_bank);
+            }
+            AddressMapping::RowBankRankCol => {
+                column = place(g.columns_per_row());
+                rank = place(g.ranks);
+                bank = place(g.banks_per_rank);
+                row = place(g.rows_per_bank);
+            }
+            AddressMapping::RankBankRowCol => {
+                column = place(g.columns_per_row());
+                row = place(g.rows_per_bank);
+                bank = place(g.banks_per_rank);
+                rank = place(g.ranks);
+            }
+        }
+        Ok(Self {
+            geometry,
+            mapping,
+            rank,
+            bank,
+            row,
+            column,
+        })
     }
 
     /// The decoder's geometry.
@@ -195,10 +262,61 @@ impl AddressDecoder {
 
     /// Decodes a physical byte address. Addresses beyond the configured
     /// capacity wrap (traces captured on real machines span more DRAM than
-    /// the simulated device; DRAMSim2 masks the same way).
+    /// the simulated device; DRAMSim2 masks the same way): the bits above
+    /// the top field are simply never read.
     #[must_use]
+    #[inline]
     pub fn decode(&self, addr: u64) -> DecodedAddr {
-        let g = &self.geometry;
+        let field = |f: BitField| (addr >> f.shift) as u32 & f.mask;
+        DecodedAddr {
+            rank: field(self.rank),
+            bank: field(self.bank),
+            row: field(self.row),
+            column: field(self.column),
+        }
+    }
+
+    /// Re-encodes a decoded address back to the canonical byte address.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::IndexOutOfRange`] if any field exceeds the
+    /// geometry.
+    pub fn encode(&self, d: DecodedAddr) -> Result<u64, SimError> {
+        let mut a: u64 = 0;
+        for (what, index, f) in [
+            ("rank", d.rank, self.rank),
+            ("bank", d.bank, self.bank),
+            ("row", d.row, self.row),
+            ("column", d.column, self.column),
+        ] {
+            if index > f.mask {
+                return Err(SimError::IndexOutOfRange {
+                    what,
+                    index: u64::from(index),
+                    limit: u64::from(f.mask) + 1,
+                });
+            }
+            a |= u64::from(index) << f.shift;
+        }
+        Ok(a)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MAPPINGS: [AddressMapping; 4] = [
+        AddressMapping::RowRankBankCol,
+        AddressMapping::RowColRankBank,
+        AddressMapping::RowBankRankCol,
+        AddressMapping::RankBankRowCol,
+    ];
+
+    /// The original division-based decode, kept as the reference the
+    /// shift-and-mask decoder must agree with bit for bit.
+    fn decode_reference(g: &MemoryGeometry, mapping: AddressMapping, addr: u64) -> DecodedAddr {
         let mut a = (addr % g.capacity_bytes()) / u64::from(g.access_bytes);
         let mut take = |n: u32| -> u32 {
             let v = (a & (u64::from(n) - 1)) as u32;
@@ -206,7 +324,7 @@ impl AddressDecoder {
             v
         };
         let (column, rank, bank, row);
-        match self.mapping {
+        match mapping {
             AddressMapping::RowRankBankCol => {
                 column = take(g.columns_per_row());
                 bank = take(g.banks_per_rank);
@@ -240,67 +358,53 @@ impl AddressDecoder {
         }
     }
 
-    /// Re-encodes a decoded address back to the canonical byte address.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::IndexOutOfRange`] if any field exceeds the
-    /// geometry.
-    pub fn encode(&self, d: DecodedAddr) -> Result<u64, SimError> {
-        let g = &self.geometry;
-        for (what, index, limit) in [
-            ("rank", d.rank, g.ranks),
-            ("bank", d.bank, g.banks_per_rank),
-            ("row", d.row, g.rows_per_bank),
-            ("column", d.column, g.columns_per_row()),
-        ] {
-            if index >= limit {
-                return Err(SimError::IndexOutOfRange {
-                    what,
-                    index: u64::from(index),
-                    limit: u64::from(limit),
-                });
-            }
+    /// The paper and tiny geometries, the Figs. 6-7 banks-per-rank sweep
+    /// (fixed capacity: 4096 rows per bank at 32 banks, scaled up as
+    /// banks shrink) and the one-bank-per-rank WOM-cache arrays.
+    fn equivalence_geometries() -> Vec<MemoryGeometry> {
+        let mut out = vec![MemoryGeometry::paper_16gib(), MemoryGeometry::tiny()];
+        for banks in [4u32, 8, 16, 32] {
+            let mut g = MemoryGeometry::paper_16gib();
+            g.banks_per_rank = banks;
+            g.rows_per_bank = 4096 * 32 / banks;
+            out.push(g);
         }
-        let mut a: u64 = 0;
-        let mut place = 1u64;
-        let mut put = |v: u32, n: u32| {
-            a += u64::from(v) * place;
-            place *= u64::from(n);
-        };
-        match self.mapping {
-            AddressMapping::RowRankBankCol => {
-                put(d.column, g.columns_per_row());
-                put(d.bank, g.banks_per_rank);
-                put(d.rank, g.ranks);
-                put(d.row, g.rows_per_bank);
-            }
-            AddressMapping::RowColRankBank => {
-                put(d.bank, g.banks_per_rank);
-                put(d.rank, g.ranks);
-                put(d.column, g.columns_per_row());
-                put(d.row, g.rows_per_bank);
-            }
-            AddressMapping::RowBankRankCol => {
-                put(d.column, g.columns_per_row());
-                put(d.rank, g.ranks);
-                put(d.bank, g.banks_per_rank);
-                put(d.row, g.rows_per_bank);
-            }
-            AddressMapping::RankBankRowCol => {
-                put(d.column, g.columns_per_row());
-                put(d.row, g.rows_per_bank);
-                put(d.bank, g.banks_per_rank);
-                put(d.rank, g.ranks);
-            }
+        for mut g in out.clone() {
+            g.banks_per_rank = 1;
+            out.push(g);
         }
-        Ok(a * u64::from(g.access_bytes))
+        out
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    #[test]
+    fn shift_decoder_matches_division_reference() {
+        let mut rng = pcm_rng::Rng::seed_from_u64(0x5EED_DEC0);
+        for g in equivalence_geometries() {
+            let cap = g.capacity_bytes();
+            for mapping in MAPPINGS {
+                let dec = AddressDecoder::new(g, mapping).unwrap();
+                let check = |addr: u64| {
+                    assert_eq!(
+                        dec.decode(addr),
+                        decode_reference(&g, mapping, addr),
+                        "{g:?} {mapping:?} addr {addr:#x}"
+                    );
+                };
+                for k in 0..4 {
+                    for addr in [k * cap, k * cap + cap - 1, u64::MAX - k] {
+                        check(addr);
+                    }
+                }
+                for _ in 0..20_000 {
+                    // In range, just above capacity (the wrap case) and
+                    // anywhere in the 64-bit space.
+                    check(rng.gen_below(cap));
+                    check(cap + rng.gen_below(cap));
+                    check(rng.next_u64());
+                }
+            }
+        }
+    }
 
     #[test]
     fn paper_geometry_is_16gib() {
@@ -322,17 +426,16 @@ mod tests {
         let mut g = MemoryGeometry::tiny();
         g.access_bytes = 512; // > row_bytes
         assert!(g.validate().is_err());
+        let mut g = MemoryGeometry::paper_16gib();
+        g.rows_per_bank = 1 << 31;
+        g.row_bytes = 1 << 31; // 2^71 bytes: beyond a u64 address
+        assert!(g.validate().is_err());
     }
 
     #[test]
     fn decode_encode_round_trip_all_mappings() {
         let g = MemoryGeometry::tiny();
-        for mapping in [
-            AddressMapping::RowRankBankCol,
-            AddressMapping::RowColRankBank,
-            AddressMapping::RowBankRankCol,
-            AddressMapping::RankBankRowCol,
-        ] {
+        for mapping in MAPPINGS {
             let dec = AddressDecoder::new(g, mapping).unwrap();
             for addr in (0..g.capacity_bytes()).step_by(g.access_bytes as usize) {
                 let d = dec.decode(addr);

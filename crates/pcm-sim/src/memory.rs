@@ -11,7 +11,7 @@
 //! bank/bus event rather than ticking every cycle, which keeps multi-
 //! billion-cycle runs tractable while preserving cycle-accurate ordering.
 
-use crate::address::AddressDecoder;
+use crate::address::{AddressDecoder, DecodedAddr};
 use crate::bank::BankState;
 use crate::config::{MemConfig, RowPolicy, SchedulerPolicy};
 use crate::error::SimError;
@@ -21,7 +21,7 @@ use crate::timing::Cycle;
 use crate::transaction::{Completion, MemOp, ServiceClass, Transaction, TransactionId};
 use crate::wear::WearTracker;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 /// A queued burst-mode rank refresh (one row per listed bank).
 #[derive(Debug, Clone)]
@@ -29,6 +29,40 @@ struct RefreshBatch {
     rank: u32,
     /// `(bank, row)` pairs to refresh, at most one per bank.
     rows: Vec<(u32, u32)>,
+}
+
+/// Service times in cycles, converted from the nanosecond timing once at
+/// construction so that no issue does float arithmetic.
+#[derive(Debug, Clone, Copy)]
+struct CycleTable {
+    /// Row-miss read plus its data burst.
+    read_miss: Cycle,
+    /// Open-page row-buffer-hit read plus its data burst.
+    read_hit: Cycle,
+    /// Full (SET-bearing) write.
+    write: Cycle,
+    /// RESET-only write.
+    reset: Cycle,
+    /// Burst-mode rank refresh across all banks of a rank.
+    rank_refresh: Cycle,
+    /// One data burst on the channel bus.
+    burst: Cycle,
+}
+
+impl CycleTable {
+    fn new(config: &MemConfig) -> Self {
+        let t = &config.timing;
+        // Demand service times are at least one cycle; the rank refresh
+        // always is (it includes one burst per bank).
+        Self {
+            read_miss: (t.read_cycles() + t.burst_cycles()).max(1),
+            read_hit: (t.row_hit_read_cycles() + t.burst_cycles()).max(1),
+            write: t.write_cycles().max(1),
+            reset: t.reset_cycles().max(1),
+            rank_refresh: t.rank_refresh_cycles(config.geometry.banks_per_rank),
+            burst: t.burst_cycles(),
+        }
+    }
 }
 
 /// Pending completion ordered by finish cycle (then id for determinism).
@@ -52,6 +86,8 @@ impl PartialOrd for Pending {
 /// Drive it by alternating [`advance_to`](MemorySystem::advance_to) (moving
 /// simulated time forward, collecting [`Completion`]s) with
 /// [`enqueue`](MemorySystem::enqueue) calls at the current time.
+/// [`advance_into`](MemorySystem::advance_into) does the same into a
+/// caller-owned buffer, so a steady-state loop allocates nothing.
 ///
 /// ```
 /// use pcm_sim::{MemConfig, MemOp, MemorySystem, ServiceClass};
@@ -85,12 +121,15 @@ pub struct MemorySystem {
     /// Emptied row buffers recycled from issued batches; `enqueue_rank_refresh`
     /// reuses them so steady-state refresh traffic stops allocating.
     spare_rows: Vec<Vec<(u32, u32)>>,
-    events: BTreeSet<Cycle>,
+    /// Bank bitset for `enqueue_rank_refresh`'s duplicate check, one bit
+    /// per bank of a rank, cleared per batch.
+    bank_seen: Vec<u64>,
+    cycles: CycleTable,
+    /// Cycles at which a bank or the bus frees: sorted descending with no
+    /// duplicates, so the earliest event is popped from the end.
+    events: Vec<Cycle>,
     pending: BinaryHeap<Reverse<Pending>>,
     cancelled: BTreeSet<TransactionId>,
-    /// Keyed by transaction id; `BTreeMap` so any future iteration stays
-    /// deterministic (womlint: determinism/banned-type).
-    refresh_addrs: BTreeMap<TransactionId, u64>,
     out: Vec<Completion>,
     stats: MemStats,
     wear: WearTracker,
@@ -108,6 +147,7 @@ impl MemorySystem {
         config.validate()?;
         let decoder = AddressDecoder::new(config.geometry, config.mapping)?;
         let total_banks = config.geometry.total_banks() as usize;
+        let bank_words = (config.geometry.banks_per_rank as usize).div_ceil(64);
         Ok(Self {
             decoder,
             now: 0,
@@ -119,10 +159,11 @@ impl MemorySystem {
             refresh_q: VecDeque::new(),
             refresh_ids: VecDeque::new(),
             spare_rows: Vec::new(),
-            events: BTreeSet::new(),
+            bank_seen: vec![0; bank_words],
+            cycles: CycleTable::new(&config),
+            events: Vec::new(),
             pending: BinaryHeap::new(),
             cancelled: BTreeSet::new(),
-            refresh_addrs: BTreeMap::new(),
             out: Vec::new(),
             stats: MemStats::new(),
             wear: WearTracker::new(),
@@ -326,7 +367,7 @@ impl MemorySystem {
                 "refresh batch must list at least one row".into(),
             ));
         }
-        let mut seen = BTreeSet::new();
+        self.bank_seen.fill(0);
         for &(bank, row) in rows {
             if bank >= g.banks_per_rank {
                 return Err(SimError::IndexOutOfRange {
@@ -342,11 +383,15 @@ impl MemorySystem {
                     limit: u64::from(g.rows_per_bank),
                 });
             }
-            if !seen.insert(bank) {
-                // womlint::allow(hotpath/transitive, reason = "invalid-batch error path: allocates once, then the run aborts")
-                return Err(SimError::InvalidConfig(format!(
-                    "refresh batch lists bank {bank} twice"
-                )));
+            let bit = 1u64 << (bank % 64);
+            if let Some(word) = self.bank_seen.get_mut((bank / 64) as usize) {
+                if *word & bit != 0 {
+                    // womlint::allow(hotpath/transitive, reason = "invalid-batch error path: allocates once, then the run aborts")
+                    return Err(SimError::InvalidConfig(format!(
+                        "refresh batch lists bank {bank} twice"
+                    )));
+                }
+                *word |= bit;
             }
         }
         let first = self.next_id;
@@ -371,62 +416,85 @@ impl MemorySystem {
     ///
     /// Returns [`SimError::TimeRegression`] if `cycle` is in the past.
     pub fn advance_to(&mut self, cycle: Cycle) -> Result<Vec<Completion>, SimError> {
+        self.run_to(cycle)?;
+        Ok(std::mem::take(&mut self.out))
+    }
+
+    /// Advances simulated time to `cycle`, appending every completion that
+    /// finished in the interval (in finish order) to `out`. Reusing one
+    /// `out` across calls keeps the steady-state loop allocation-free.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::TimeRegression`] if `cycle` is in the past.
+    pub fn advance_into(
+        &mut self,
+        cycle: Cycle,
+        out: &mut Vec<Completion>,
+    ) -> Result<(), SimError> {
+        self.run_to(cycle)?;
+        out.append(&mut self.out);
+        Ok(())
+    }
+
+    /// Runs until all queues are empty and all in-flight work completes,
+    /// returning the completions.
+    pub fn drain(&mut self) -> Vec<Completion> {
+        while !(self.read_q.is_empty()
+            && self.write_q.is_empty()
+            && self.refresh_q.is_empty()
+            && self.pending.is_empty())
+        {
+            // No future event can unblock remaining work; only possible
+            // if a refresh batch waits on banks that a demand stream keeps
+            // occupied — impossible once queues are empty — so treat as
+            // quiesced.
+            let Some(e) = self.events.pop() else {
+                break;
+            };
+            self.step_to(e);
+        }
+        std::mem::take(&mut self.out)
+    }
+
+    /// Moves time to `cycle` through every event up to it, leaving the
+    /// completions in `self.out`.
+    fn run_to(&mut self, cycle: Cycle) -> Result<(), SimError> {
         if cycle < self.now {
             return Err(SimError::TimeRegression {
                 now: self.now,
                 requested: cycle,
             });
         }
-        loop {
-            let next = self.events.iter().next().copied();
-            match next {
-                Some(e) if e <= cycle => {
-                    self.events.remove(&e);
-                    if e > self.now {
-                        self.now = e;
-                    }
-                    self.flush_completions();
-                    self.try_issue();
-                }
-                _ => break,
+        while let Some(&e) = self.events.last() {
+            if e > cycle {
+                break;
             }
+            self.events.pop();
+            self.step_to(e);
         }
         self.now = cycle;
         self.flush_completions();
         self.try_issue();
-        Ok(std::mem::take(&mut self.out))
+        Ok(())
     }
 
-    /// Runs until all queues are empty and all in-flight work completes,
-    /// returning the completions.
-    pub fn drain(&mut self) -> Vec<Completion> {
-        loop {
-            let work_left = !(self.read_q.is_empty()
-                && self.write_q.is_empty()
-                && self.refresh_q.is_empty()
-                && self.pending.is_empty());
-            if !work_left {
-                break;
-            }
-            match self.events.iter().next().copied() {
-                Some(e) => {
-                    self.events.remove(&e);
-                    if e > self.now {
-                        self.now = e;
-                    }
-                    self.flush_completions();
-                    self.try_issue();
-                }
-                None => {
-                    // No future event can unblock remaining work; only
-                    // possible if a refresh batch waits on banks that a
-                    // demand stream keeps occupied — impossible once queues
-                    // are empty — so treat as quiesced.
-                    break;
-                }
-            }
+    /// Moves time up to the just-popped event `e`, then retires and
+    /// issues whatever it unblocks.
+    fn step_to(&mut self, e: Cycle) {
+        if e > self.now {
+            self.now = e;
         }
-        std::mem::take(&mut self.out)
+        self.flush_completions();
+        self.try_issue();
+    }
+
+    /// Adds `cycle` to the event set, keeping it sorted descending and
+    /// free of duplicates.
+    fn schedule(&mut self, cycle: Cycle) {
+        if let Err(pos) = self.events.binary_search_by(|e| cycle.cmp(e)) {
+            self.events.insert(pos, cycle);
+        }
     }
 
     fn flat_bank(&self, rank: u32, bank: u32) -> usize {
@@ -441,9 +509,6 @@ impl MemorySystem {
             self.pending.pop();
             if self.cancelled.remove(&c.id) {
                 continue;
-            }
-            if c.class == ServiceClass::RankRefresh {
-                self.refresh_addrs.remove(&c.id);
             }
             self.account_energy_and_wear(&c);
             self.stats.record(&c);
@@ -479,22 +544,21 @@ impl MemorySystem {
     }
 
     fn service_cycles(&self, class: ServiceClass, flat_bank: usize, row: u32) -> Cycle {
-        let t = &self.config.timing;
+        let c = &self.cycles;
         match class {
             ServiceClass::Read => {
                 let hit = self.config.row_policy == RowPolicy::OpenPage
                     && self.banks[flat_bank].open_row() == Some(row);
                 if hit {
-                    t.row_hit_read_cycles() + t.burst_cycles()
+                    c.read_hit
                 } else {
-                    t.read_cycles() + t.burst_cycles()
+                    c.read_miss
                 }
             }
-            ServiceClass::Write => t.write_cycles(),
-            ServiceClass::ResetOnlyWrite => t.reset_cycles(),
-            ServiceClass::RankRefresh => t.rank_refresh_cycles(self.config.geometry.banks_per_rank),
+            ServiceClass::Write => c.write,
+            ServiceClass::ResetOnlyWrite => c.reset,
+            ServiceClass::RankRefresh => c.rank_refresh,
         }
-        .max(1)
     }
 
     /// Issues every transaction that can start at the current cycle.
@@ -565,10 +629,21 @@ impl MemorySystem {
             }
             // `preempt` refuses idle banks and non-preemptible classes, so
             // it doubles as the write-pausing eligibility check.
-            let Some(aborted) = self.banks[flat].preempt(self.now) else {
+            let bank = &mut self.banks[flat];
+            let Some(aborted) = bank.preempt(self.now) else {
                 return false;
             };
-            let addr = self.refresh_addrs.remove(&aborted.id).unwrap_or_default();
+            // The aborted refresh still holds the bank's open row; its
+            // address is the one `try_issue_refresh` gave its completion.
+            let row = bank.open_row().unwrap_or_default();
+            let addr = self
+                .decoder
+                .encode(DecodedAddr {
+                    row,
+                    column: 0,
+                    ..d
+                })
+                .unwrap_or_default();
             self.cancelled.insert(aborted.id);
             let c = Completion {
                 id: aborted.id,
@@ -585,15 +660,15 @@ impl MemorySystem {
         }
         // Shared channel data bus: one burst at a time.
         if self.bus_free_at > self.now {
-            self.events.insert(self.bus_free_at);
+            self.schedule(self.bus_free_at);
             return false;
         }
         let service = self.service_cycles(txn.class, flat, d.row);
         let start = self.now;
         let finish = start + service;
         self.banks[flat].begin(txn.id, txn.class, start, finish, d.row);
-        self.bus_free_at = self.now + self.config.timing.burst_cycles();
-        self.events.insert(finish);
+        self.bus_free_at = self.now + self.cycles.burst;
+        self.schedule(finish);
         self.queued_per_rank[d.rank as usize] -= 1;
         self.pending.push(Reverse(Pending(Completion {
             id: txn.id,
@@ -627,17 +702,13 @@ impl MemorySystem {
             (Some(batch), Some(run)) => (batch, run),
             _ => return false,
         };
-        let dur = self
-            .config
-            .timing
-            .rank_refresh_cycles(self.config.geometry.banks_per_rank);
-        let finish = self.now + dur;
+        let finish = self.now + self.cycles.rank_refresh;
         for (k, &(bank, row)) in batch.rows.iter().enumerate() {
             let id = first + k as u64;
             // Encode before `begin` so a failure (impossible: coordinates
             // are validated at enqueue) cannot leave a bank busy with no
             // pending completion.
-            let Ok(addr) = self.decoder.encode(crate::address::DecodedAddr {
+            let Ok(addr) = self.decoder.encode(DecodedAddr {
                 rank: batch.rank,
                 bank,
                 row,
@@ -647,7 +718,6 @@ impl MemorySystem {
             };
             let flat = self.flat_bank(batch.rank, bank);
             self.banks[flat].begin(id, ServiceClass::RankRefresh, self.now, finish, row);
-            self.refresh_addrs.insert(id, addr);
             self.pending.push(Reverse(Pending(Completion {
                 id,
                 addr,
@@ -659,7 +729,7 @@ impl MemorySystem {
                 preempted: false,
             })));
         }
-        self.events.insert(finish);
+        self.schedule(finish);
         // Recycle the emptied row buffer for the next enqueue.
         let mut rows = batch.rows;
         rows.clear();
@@ -707,7 +777,7 @@ impl MemorySystem {
             }
         }
         w.put_usize(self.events.len());
-        for &cycle in &self.events {
+        for &cycle in self.events.iter().rev() {
             w.put_u64(cycle);
         }
         let mut pending: Vec<Completion> =
@@ -721,8 +791,9 @@ impl MemorySystem {
         for &id in &self.cancelled {
             w.put_u64(id);
         }
-        w.put_usize(self.refresh_addrs.len());
-        for (&id, &addr) in &self.refresh_addrs {
+        let refresh_addrs = self.refresh_addrs();
+        w.put_usize(refresh_addrs.len());
+        for &(id, addr) in &refresh_addrs {
             w.put_u64(id);
             w.put_u64(addr);
         }
@@ -737,6 +808,20 @@ impl MemorySystem {
         for &n in &self.queued_per_rank {
             w.put_usize(n);
         }
+    }
+
+    /// `(id, addr)` of every issued refresh row still pending and not
+    /// preempted, in id order: the list a snapshot carries.
+    fn refresh_addrs(&self) -> Vec<(TransactionId, u64)> {
+        let mut addrs: Vec<(TransactionId, u64)> = self
+            .pending
+            .iter()
+            .map(|Reverse(Pending(c))| c)
+            .filter(|c| c.class == ServiceClass::RankRefresh && !self.cancelled.contains(&c.id))
+            .map(|c| (c.id, c.addr))
+            .collect();
+        addrs.sort_unstable();
+        addrs
     }
 
     /// Restores state written by [`save_state`](Self::save_state) into a
@@ -793,7 +878,8 @@ impl MemorySystem {
         let events = r.take_len(8)?;
         self.events.clear();
         for _ in 0..events {
-            self.events.insert(r.take_u64()?);
+            let cycle = r.take_u64()?;
+            self.schedule(cycle);
         }
         let pending = r.take_len(8)?;
         self.pending.clear();
@@ -806,12 +892,21 @@ impl MemorySystem {
         for _ in 0..cancelled {
             self.cancelled.insert(r.take_u64()?);
         }
+        // The in-flight refresh addresses are derived state; the payload
+        // still lists them, and they must match the pending set.
         let addrs = r.take_len(16)?;
-        self.refresh_addrs.clear();
-        for _ in 0..addrs {
-            let id = r.take_u64()?;
-            let addr = r.take_u64()?;
-            self.refresh_addrs.insert(id, addr);
+        let refresh_addrs = self.refresh_addrs();
+        if addrs != refresh_addrs.len() {
+            return Err(SnapError::Corrupt(
+                "refresh address list disagrees with the pending refreshes",
+            ));
+        }
+        for (id, addr) in refresh_addrs {
+            if (r.take_u64()?, r.take_u64()?) != (id, addr) {
+                return Err(SnapError::Corrupt(
+                    "refresh address list disagrees with the pending refreshes",
+                ));
+            }
         }
         let out = r.take_len(8)?;
         self.out.clear();
@@ -1242,6 +1337,42 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_refresh_addresses_that_disagree_with_pending() {
+        use crate::snap::{SnapError, SnapReader, SnapWriter};
+        let mut mem = tiny_system();
+        let first = mem.enqueue_rank_refresh(1, &[(0, 5), (1, 6)]).unwrap();
+        mem.advance_to(1).unwrap();
+        let mut w = SnapWriter::new();
+        mem.save_state(&mut w);
+        let bytes = w.into_bytes();
+
+        // The in-flight list is written after the pending completions
+        // (which carry the same id and address), so its entry is the last
+        // occurrence in the payload.
+        let addr = addr_of(&mem, 1, 1, 6, 0);
+        let needle: Vec<u8> = [first + 1, addr]
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        let pos = bytes
+            .windows(needle.len())
+            .rposition(|w| w == needle)
+            .expect("in-flight refresh address present in payload");
+        let mut tampered = bytes.clone();
+        tampered[pos + 8..pos + 16].copy_from_slice(&(addr + 64).to_le_bytes());
+        let err = tiny_system()
+            .restore_state(&mut SnapReader::new(&tampered))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SnapError::Corrupt("refresh address list disagrees with the pending refreshes")
+        );
+        tiny_system()
+            .restore_state(&mut SnapReader::new(&bytes))
+            .unwrap();
+    }
+
+    #[test]
     fn restore_rejects_mismatched_geometry() {
         use crate::snap::{SnapReader, SnapWriter};
         let a = tiny_system();
@@ -1253,6 +1384,44 @@ mod tests {
         let mut b = MemorySystem::new(cfg).unwrap();
         let mut r = SnapReader::new(&bytes);
         assert!(b.restore_state(&mut r).is_err());
+    }
+
+    #[test]
+    fn event_set_stays_sorted_and_deduplicated() {
+        // Strictly descending means sorted with no duplicates.
+        let well_formed = |mem: &MemorySystem| mem.events.windows(2).all(|w| w[0] > w[1]);
+        let mut mem = tiny_system();
+        for cycle in [40, 10, 40, 25, 10, 90] {
+            mem.schedule(cycle);
+        }
+        assert_eq!(mem.events, [90, 40, 25, 10]);
+
+        let mut mem = tiny_system();
+        let mut rng = pcm_rng::Rng::seed_from_u64(11);
+        let g = mem.config().geometry;
+        for step in 0..4_000u64 {
+            if step % 16 == 0 {
+                let rank = rng.gen_below(u64::from(g.ranks)) as u32;
+                let row = rng.gen_below(u64::from(g.rows_per_bank)) as u32;
+                let rows: Vec<(u32, u32)> = (0..g.banks_per_rank).map(|b| (b, row)).collect();
+                mem.enqueue_rank_refresh(rank, &rows).unwrap();
+                assert!(well_formed(&mem), "after refresh at step {step}");
+            }
+            let addr = rng.gen_below(g.capacity_bytes());
+            let (op, class) = if rng.gen_bool(0.5) {
+                (MemOp::Read, ServiceClass::Read)
+            } else {
+                (MemOp::Write, ServiceClass::ResetOnlyWrite)
+            };
+            let _ = mem.enqueue(op, addr, class);
+            assert!(well_formed(&mem), "after enqueue at step {step}");
+            mem.advance_to(mem.now() + rng.gen_below(48)).unwrap();
+            assert!(well_formed(&mem), "after advance at step {step}");
+        }
+        mem.drain();
+        assert!(mem.events.is_empty());
+        assert!(mem.stats().refreshes_completed > 0);
+        assert!(mem.stats().refreshes_preempted > 0);
     }
 
     #[test]
